@@ -11,12 +11,14 @@
 //!
 //! Two modes per width:
 //!
-//! * `static_hash` — [`AdaptiveConfig::off`]: fixed linger, fixed
-//!   placement, per-gate batches (the PR 2 runtime);
-//! * `adaptive` — rebalancing (review every 32 submissions), adaptive
-//!   linger and cross-waveguide fusion all on: co-tenant waveguides
-//!   migrate off the hot shard, the hot shard's window stretches under
-//!   the burst, and background requests fuse across waveguides.
+//! * `static_hash` — [`AdaptiveConfig::off`]: fixed placement,
+//!   per-gate batches;
+//! * `adaptive` — rebalancing (review every 32 submissions) and
+//!   cross-waveguide fusion on: co-tenant waveguides migrate off the
+//!   hot shard, and background requests fuse across waveguides.
+//!
+//! Both modes use the same fixed 100 µs linger, so the comparison
+//! isolates placement and fusion from the drain shape.
 //!
 //! The acceptance comparison is fewer drain cycles (bigger batches)
 //! for `adaptive`, and a finite per-shard drain split where the static

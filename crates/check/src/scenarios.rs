@@ -12,7 +12,8 @@
 //! * [`serve_exactly_once`] — every submitted ticket redeems exactly
 //!   once with the right word; the queue-depth gauge never reads
 //!   negative and drains to zero; shutdown is clean. This is the CI
-//!   smoke scenario (2 shards × 2 waveguides × small batch).
+//!   smoke scenario (2 shards × 2 waveguides × small batch), run with
+//!   a short linger and again with the default zero linger.
 //! * [`shutdown_joins_despite_worker_panic`] — an injected shard panic
 //!   must not detach the surviving workers or hang `shutdown`.
 //! * [`timed_out_ticket_redeems`] — a ticket whose timed wait expires
@@ -21,7 +22,8 @@
 //!   traffic neither lose nor duplicate a request.
 //! * [`executor_pipeline_completes`] — the pipelined circuit executor's
 //!   park/harvest loop completes every plan against the reference even
-//!   when completions land out of order behind a slow head ticket.
+//!   when completions land out of order behind a slow head ticket,
+//!   with a short linger and again with the default zero linger.
 //! * [`net_reap_outside_lock`] — the connection-reap discipline the
 //!   lock-order pass enforces in `magnon_net`: handles reaped under the
 //!   registry guard, joined outside it, none lost or double-joined.
@@ -101,6 +103,20 @@ fn small_config(workers: usize) -> ServeConfig {
     }
 }
 
+/// [`small_config`] as is (a worker lingers 50 µs for stragglers), then
+/// with the default zero linger (a worker serves what its sweep finds,
+/// with no timed wait). Scenarios that take both explore each drain
+/// shape under the same invariants.
+fn drain_shapes(workers: usize) -> [ServeConfig; 2] {
+    [
+        small_config(workers),
+        ServeConfig {
+            linger: Duration::ZERO,
+            ..small_config(workers)
+        },
+    ]
+}
+
 fn operand_set(seed: u64) -> OperandSet {
     let bytes = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
     OperandSet::new(
@@ -119,7 +135,8 @@ fn maj3_reference(set: &OperandSet) -> u8 {
 }
 
 /// The CI smoke scenario: 2 shards × 2 waveguides, two concurrent
-/// submitters, a handful of requests.
+/// submitters, a handful of requests — with a 50 µs linger, then with
+/// the default zero linger.
 ///
 /// Invariants: every ticket redeems exactly once with the bitwise-
 /// majority word; the raw queue gauge never reads negative at any
@@ -127,7 +144,13 @@ fn maj3_reference(set: &OperandSet) -> u8 {
 /// submitted == completed at shutdown; shutdown returns cleanly (a
 /// hang is a deadlock the controller reports).
 pub fn serve_exactly_once() {
-    let mut builder = SchedulerBuilder::new(small_config(2));
+    for config in drain_shapes(2) {
+        serve_exactly_once_with(config);
+    }
+}
+
+fn serve_exactly_once_with(config: ServeConfig) {
+    let mut builder = SchedulerBuilder::new(config);
     let gate_a = builder
         .register("maj_wg0", maj_gate(0), BackendChoice::Analytic)
         .expect("register wg0");
@@ -253,7 +276,6 @@ pub fn rebalance_no_loss_no_dup() {
             rebalance: true,
             rebalance_interval: 2,
             rebalance_ratio: 1.5,
-            adaptive_linger: false,
             fusion: false,
             ..AdaptiveConfig::default()
         },
@@ -314,7 +336,7 @@ pub fn rebalance_no_loss_no_dup() {
 /// redeem out-of-order completions (a slow head ticket must not hide a
 /// finished one behind it — the defect this checker caught in the
 /// prefix-only harvest) and finish the plan with reference-identical
-/// outputs.
+/// outputs — with a 50 µs linger, then with the default zero linger.
 pub fn executor_pipeline_completes() {
     use magnon_circuits::netlist::Circuit;
     use magnon_compiler::{compile, CompilerConfig};
@@ -331,31 +353,34 @@ pub fn executor_pipeline_completes() {
 
     let guide = Waveguide::paper_default().expect("paper waveguide");
     let compiled = compile(&circuit, &guide, &CompilerConfig::default()).expect("compile");
-    let mut builder = SchedulerBuilder::new(ServeConfig {
-        queue_depth: 1,
-        max_batch: 2,
-        ..small_config(2)
-    });
-    let gates = register_compiled(
-        &mut builder,
-        &compiled,
-        guide,
-        WaveguideId(0),
-        BackendChoice::Analytic,
-    )
-    .expect("register compiled");
-    let scheduler = builder.build().expect("build scheduler");
-    let mut executor = CircuitExecutor::new(&scheduler, &compiled, &gates).expect("bind executor");
-    let sets: Vec<Vec<Word>> = (0..2u64)
-        .map(|i| operand_set(40 + i).words().to_vec())
-        .collect();
-    let reference = circuit.evaluate_batch(&sets).expect("reference");
-    let served = executor.run_batch(&sets).expect("pipelined run");
-    assert_eq!(
-        served, reference,
-        "pipelined outputs diverged from the circuit"
-    );
-    scheduler.shutdown().expect("clean shutdown");
+    for config in drain_shapes(2) {
+        let mut builder = SchedulerBuilder::new(ServeConfig {
+            queue_depth: 1,
+            max_batch: 2,
+            ..config
+        });
+        let gates = register_compiled(
+            &mut builder,
+            &compiled,
+            guide,
+            WaveguideId(0),
+            BackendChoice::Analytic,
+        )
+        .expect("register compiled");
+        let scheduler = builder.build().expect("build scheduler");
+        let mut executor =
+            CircuitExecutor::new(&scheduler, &compiled, &gates).expect("bind executor");
+        let sets: Vec<Vec<Word>> = (0..2u64)
+            .map(|i| operand_set(40 + i).words().to_vec())
+            .collect();
+        let reference = circuit.evaluate_batch(&sets).expect("reference");
+        let served = executor.run_batch(&sets).expect("pipelined run");
+        assert_eq!(
+            served, reference,
+            "pipelined outputs diverged from the circuit"
+        );
+        scheduler.shutdown().expect("clean shutdown");
+    }
 }
 
 /// Regression scenario for the connection-reap discipline the lock

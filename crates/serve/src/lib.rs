@@ -7,19 +7,19 @@
 //! top of [`magnon_core::backend::GateSession`]:
 //!
 //! * [`Scheduler`] — accepts tagged evaluation requests on bounded
-//!   per-shard queues, coalesces them under a batch-size/linger policy
-//!   and answers through [`Ticket`]s;
+//!   per-shard queues, coalesces them in work-conserving drains (each
+//!   worker serves everything queued, up to a batch cap, with no timer
+//!   in between) and answers through [`Ticket`]s;
 //! * **waveguide-aware sharding** — requests route by their gate's
 //!   [`magnon_core::gate::WaveguideId`], so gates sharing a waveguide
 //!   land on one shard and batch *across gates* in a single drain
 //!   cycle, while `N` workers each own independent backend splits
 //!   ([`magnon_core::backend::SpinWaveBackend::split`]);
 //! * **load-adaptive policies** ([`AdaptiveConfig`], fed by the
-//!   lock-free [`telemetry`] counters) — per-worker linger windows that
-//!   shrink under light load and stretch under bursts, a placement
-//!   table that moves co-tenant waveguides off hot shards, and fusion
-//!   of design-compatible requests across *different* waveguides into
-//!   one batch when drains run deep;
+//!   lock-free [`telemetry`] counters) — a placement table that moves
+//!   co-tenant waveguides off hot shards, and fusion of
+//!   design-compatible requests across *different* waveguides into one
+//!   batch when drains run deep;
 //! * [`ScheduledBank`] — plugs the scheduler into circuit evaluation
 //!   ([`magnon_circuits::netlist::GateDispatcher`]), so adders, ALUs
 //!   and parity trees ride the same coalescing;
@@ -435,24 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn inverted_adaptive_linger_bounds_are_rejected_at_build() {
-        let gate = byte_majority();
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
-            adaptive: AdaptiveConfig {
-                min_linger: Duration::from_millis(5),
-                max_linger: Duration::from_micros(5),
-                ..AdaptiveConfig::default()
-            },
-            ..quick_config(1)
-        });
-        builder
-            .register("maj3", gate, BackendChoice::Analytic)
-            .unwrap();
-        assert!(matches!(builder.build(), Err(ServeError::Config { .. })));
-    }
-
-    #[test]
     fn static_placement_spreads_even_waveguide_ids_over_two_shards() {
         let guide = Waveguide::paper_default().unwrap();
         let mut builder = SchedulerBuilder::new(ServeConfig {
@@ -844,42 +826,37 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_linger_shrinks_under_sequential_load() {
-        let gate = byte_majority();
-        let base = Duration::from_micros(400);
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
-            workers: 1,
-            max_batch: 64,
-            linger: base,
-            queue_depth: 256,
-            lut_dir: None,
-            adaptive: AdaptiveConfig {
-                adaptive_linger: true,
-                min_linger: Duration::from_micros(10),
-                max_linger: Duration::from_millis(2),
-                rebalance: false,
-                fusion: false,
-                ..AdaptiveConfig::default()
-            },
-        });
+    fn default_drains_do_not_wait_out_a_window_after_bursts() {
+        // Bursts that back up past the batch cap fill several drains
+        // first; they must not leave a timer behind. With no wait
+        // between a worker's first request and its evaluation, the
+        // small awaited waves after them come back at evaluation
+        // speed (a 2 ms wait per drain would take ≈100 ms here).
+        let config = ServeConfig::default();
+        let max_batch = config.max_batch;
+        let mut builder = SchedulerBuilder::new(config);
         let id = builder
-            .register("maj3", gate, BackendChoice::Cached)
+            .register("maj3", byte_majority(), BackendChoice::Cached)
             .unwrap();
         let scheduler = builder.build().unwrap();
-        // Strictly sequential submit→wait: every drain serves one
-        // request, so the window must walk down toward min_linger.
-        for set in sample_sets(8, 3) {
-            scheduler.submit(id, set).unwrap().wait().unwrap();
+        let burst: Vec<(GateId, OperandSet)> = sample_sets(2 * max_batch, 3)
+            .into_iter()
+            .map(|set| (id, set))
+            .collect();
+        for _ in 0..4 {
+            scheduler.evaluate_many(&burst).unwrap();
         }
-        let telemetry = scheduler.telemetry();
-        let shard = &telemetry.shards[0];
-        assert!(shard.drain_cycles >= 8);
-        assert_eq!(shard.queued, 0);
+        let wave = &burst[..8];
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            scheduler.evaluate_many(wave).unwrap();
+        }
+        let elapsed = start.elapsed();
         assert!(
-            shard.linger < base && shard.linger >= Duration::from_micros(10),
-            "light load must shrink the window below the {base:?} base: {telemetry:?}"
+            elapsed < Duration::from_millis(25),
+            "50 awaited waves of 8 took {elapsed:?}: drains are waiting on a timer"
         );
+        assert_eq!(scheduler.telemetry().shards[0].linger, Duration::ZERO);
         scheduler.shutdown().unwrap();
     }
 }

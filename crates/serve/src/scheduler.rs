@@ -22,9 +22,13 @@
 //! ```
 //!
 //! A worker drains its queue in cycles: it blocks on the first request,
-//! then keeps collecting until the linger window closes or the batch
-//! cap is reached, groups what it got, and issues one
-//! [`GateSession::evaluate_batch`] per group. Because routing is by
+//! sweeps whatever is already queued behind it (up to the batch cap),
+//! groups what it got, and issues one [`GateSession::evaluate_batch`]
+//! per group. The drain is work-conserving: no timer runs between the
+//! first request and the evaluation, yet batches still form under load,
+//! because requests arriving while a drain is evaluated queue up for the
+//! next sweep. (A nonzero [`ServeConfig::linger`] holds the worker open
+//! for stragglers instead; the default is zero.) Because routing is by
 //! [`WaveguideId`] and [`LaneId`], a drain cycle naturally coalesces
 //! requests across *different* gates sharing a waveguide — the
 //! cross-gate data parallelism of the companion paper
@@ -45,15 +49,10 @@
 //!
 //! # Adaptive policies
 //!
-//! Three load-aware policies (see [`AdaptiveConfig`], all on by
-//! default, all individually switchable) feed on the lock-free
+//! Two load-aware policies (see [`AdaptiveConfig`], both on by
+//! default, each individually switchable) feed on the lock-free
 //! telemetry in [`crate::telemetry`]:
 //!
-//! * **load-aware linger** — each worker's linger window shrinks toward
-//!   [`AdaptiveConfig::min_linger`] while drains come back nearly empty
-//!   (low latency under light load) and stretches toward
-//!   [`AdaptiveConfig::max_linger`] while drains fill to `max_batch`
-//!   (big batches under bursts);
 //! * **hot-waveguide rebalancing** — instead of the static
 //!   hash-placement fallback, submissions consult a placement table
 //!   that periodically moves co-tenant waveguides off overloaded
@@ -119,12 +118,10 @@ pub struct ServeConfig {
     /// rejected by [`SchedulerBuilder::build`] — it would silently
     /// degenerate every drain to a batch of one.
     pub max_batch: usize,
-    /// Base linger: how long a worker keeps collecting after the first
-    /// request of a drain cycle, trading latency for batch size. With
-    /// [`AdaptiveConfig::adaptive_linger`] on, this is only the
-    /// starting point; the worker then walks the window between
-    /// [`AdaptiveConfig::min_linger`] and [`AdaptiveConfig::max_linger`]
-    /// based on observed drain sizes.
+    /// How long a worker keeps collecting after the first request of a
+    /// drain cycle, trading latency for batch size. Zero (the default)
+    /// makes the drain work-conserving: the worker sweeps what is
+    /// already queued and serves it at once.
     pub linger: Duration,
     /// Bound of each shard's request queue; blocking submission applies
     /// backpressure when full.
@@ -132,9 +129,9 @@ pub struct ServeConfig {
     /// Directory for persisted LUT files (`<gate name>.mglut`). `None`
     /// disables persistence.
     pub lut_dir: Option<PathBuf>,
-    /// The load-adaptive policy knobs (linger adaptation, hot-waveguide
-    /// rebalancing, cross-waveguide fusion). [`AdaptiveConfig::off`]
-    /// reproduces the static runtime.
+    /// The load-adaptive policy knobs (hot-waveguide rebalancing,
+    /// cross-waveguide fusion). [`AdaptiveConfig::off`] reproduces the
+    /// static runtime.
     pub adaptive: AdaptiveConfig,
     /// Keep per-channel analog readouts on batched replies. Off by
     /// default: responses on the wire only carry logic words, so drains
@@ -151,7 +148,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             max_batch: 256,
-            linger: Duration::from_micros(200),
+            linger: Duration::ZERO,
             queue_depth: 1024,
             lut_dir: None,
             adaptive: AdaptiveConfig::default(),
@@ -352,8 +349,7 @@ impl SchedulerBuilder {
     /// # Errors
     ///
     /// * [`ServeError::Config`] for an unusable configuration
-    ///   (`max_batch == 0`, or `adaptive.min_linger` above
-    ///   `adaptive.max_linger`).
+    ///   (`max_batch == 0`).
     /// * [`ServeError::Gate`] for backend construction failures.
     /// * [`ServeError::Gate`] wrapping [`GateError::Persistence`] when
     ///   a persisted LUT file exists but is corrupted or belongs to a
@@ -362,17 +358,9 @@ impl SchedulerBuilder {
         let mut config = self.config;
         if config.max_batch == 0 {
             return Err(ServeError::Config {
-                reason: "max_batch must be at least 1 — a zero cap would make the linger loop \
+                reason: "max_batch must be at least 1 — a zero cap would make the sweep loop \
                          unreachable and silently serve every request as a batch of one"
                     .into(),
-            });
-        }
-        if config.adaptive.min_linger > config.adaptive.max_linger {
-            return Err(ServeError::Config {
-                reason: format!(
-                    "adaptive.min_linger ({:?}) exceeds adaptive.max_linger ({:?})",
-                    config.adaptive.min_linger, config.adaptive.max_linger
-                ),
             });
         }
         config.workers = config.workers.max(1);
@@ -616,7 +604,7 @@ struct Worker {
     templates: Arc<Vec<GateSession>>,
     /// `meta[gate index]` — fusion key, lane slot and FDM eligibility.
     meta: Arc<Vec<GateMeta>>,
-    /// Base linger (the adaptive window starts here).
+    /// See [`ServeConfig::linger`].
     linger: Duration,
     max_batch: usize,
     policy: AdaptiveConfig,
@@ -638,12 +626,6 @@ struct WorkerReport {
 impl Worker {
     fn run(mut self) -> WorkerReport {
         let mut pending: Vec<EvalJob> = Vec::with_capacity(self.max_batch);
-        let mut linger = if self.policy.adaptive_linger {
-            self.linger
-                .clamp(self.policy.min_linger, self.policy.max_linger)
-        } else {
-            self.linger
-        };
         loop {
             // Block for the cycle's first request; a closed queue is
             // the shutdown signal.
@@ -651,8 +633,9 @@ impl Worker {
                 Ok(job) => pending.push(job),
                 Err(_) => break,
             }
-            // Linger: keep collecting so concurrent submitters coalesce.
-            let deadline = Instant::now() + linger;
+            // Sweep what is already queued; with a nonzero linger, also
+            // wait for concurrent submitters to coalesce.
+            let deadline = Instant::now() + self.linger;
             while pending.len() < self.max_batch {
                 let now = Instant::now();
                 if now >= deadline {
@@ -670,12 +653,7 @@ impl Worker {
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            let drained = pending.len();
             self.serve_drain(&mut pending);
-            if self.policy.adaptive_linger {
-                linger = self.adapted_linger(linger, drained);
-                self.telemetry.publish_linger(self.shard, linger);
-            }
         }
         self.drain_stragglers(&mut pending);
         WorkerReport {
@@ -701,25 +679,6 @@ impl Worker {
         }
         if !pending.is_empty() {
             self.serve_drain(pending);
-        }
-    }
-
-    /// Multiplicative increase/decrease on the linger window: a drain
-    /// that filled the batch cap means traffic is bursty (stretch to
-    /// collect more next time); a drain of one request means the window
-    /// bought nothing (shrink toward pure latency).
-    fn adapted_linger(&self, current: Duration, drained: usize) -> Duration {
-        if drained >= self.max_batch {
-            // Seed the doubling when the window shrank all the way to
-            // zero (min_linger: 0), or it could never grow back.
-            current
-                .max(Duration::from_micros(1))
-                .saturating_mul(2)
-                .min(self.policy.max_linger)
-        } else if drained <= 1 {
-            (current / 2).max(self.policy.min_linger)
-        } else {
-            current
         }
     }
 
@@ -1250,10 +1209,14 @@ impl Scheduler {
     }
 
     /// Current load-telemetry snapshot: per-shard queue depths, drain
-    /// counters and linger windows, per-waveguide placement and recent
-    /// request counts, and the number of rebalance moves.
+    /// counters and the configured linger, per-waveguide placement and
+    /// recent request counts, and the number of rebalance moves.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot()
+        let mut snapshot = self.telemetry.snapshot();
+        for shard in &mut snapshot.shards {
+            shard.linger = self.config.linger;
+        }
+        snapshot
     }
 
     fn job_for(&self, id: GateId, set: OperandSet) -> Result<(usize, EvalJob, Ticket), ServeError> {

@@ -2,19 +2,14 @@
 //!
 //! Every hot-path touch point is a relaxed atomic: submitters bump a
 //! per-lane request counter and read the placement table, workers
-//! publish drain sizes, queue depths and their current linger window.
+//! publish drain sizes, queue depths and LUT gauges.
 //! Nothing here takes a lock on the request path; the only
 //! coordination is a compare-and-swap guard around the (rare,
 //! submission-driven) placement review.
 //!
-//! Three adaptive policies consume the counters (all tunable through
-//! [`AdaptiveConfig`], all individually switchable):
+//! Two adaptive policies consume the counters (both tunable through
+//! [`AdaptiveConfig`], each individually switchable):
 //!
-//! * **load-aware linger** — each worker shrinks its linger window
-//!   toward [`AdaptiveConfig::min_linger`] while drains come back
-//!   nearly empty (latency mode) and stretches it toward
-//!   [`AdaptiveConfig::max_linger`] while drains fill to the batch cap
-//!   (burst mode);
 //! * **hot-waveguide rebalancing** — every
 //!   [`AdaptiveConfig::rebalance_interval`] submissions, the placement
 //!   of waveguides over shards is reviewed: when the busiest shard
@@ -46,20 +41,13 @@ use magnon_core::gate::{LaneId, WaveguideId};
 use magnon_core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use magnon_core::sync::time::Duration;
 
-/// Tuning knobs for the three adaptive serving policies.
+/// Tuning knobs for the two adaptive serving policies.
 ///
-/// [`Default`] enables everything with conservative thresholds;
-/// [`AdaptiveConfig::off`] reproduces the static PR 2 runtime (fixed
-/// linger, fixed placement, per-gate batches) for baselines and
-/// comparisons.
+/// [`Default`] enables both with conservative thresholds;
+/// [`AdaptiveConfig::off`] reproduces the static runtime (fixed
+/// placement, per-gate batches) for baselines and comparisons.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
-    /// Adapt the linger window to the observed drain sizes.
-    pub adaptive_linger: bool,
-    /// Floor the linger window shrinks to under light load.
-    pub min_linger: Duration,
-    /// Cap the linger window stretches to under bursts.
-    pub max_linger: Duration,
     /// Move waveguides between shards when load skews.
     pub rebalance: bool,
     /// Submissions between placement reviews (clamped to ≥ 1).
@@ -77,9 +65,6 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            adaptive_linger: true,
-            min_linger: Duration::from_micros(10),
-            max_linger: Duration::from_millis(2),
             rebalance: true,
             rebalance_interval: 64,
             rebalance_ratio: 2.0,
@@ -90,11 +75,10 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Every adaptive policy disabled: fixed linger, static placement,
-    /// per-gate batches — the PR 2 behaviour.
+    /// Every adaptive policy disabled: static placement, per-gate
+    /// batches.
     pub fn off() -> Self {
         AdaptiveConfig {
-            adaptive_linger: false,
             rebalance: false,
             fusion: false,
             ..AdaptiveConfig::default()
@@ -117,8 +101,8 @@ struct ShardCounters {
     drained: AtomicU64,
     /// Drain cycles completed.
     drain_cycles: AtomicU64,
-    /// Drain cycles that filled to the batch cap (linger utilization:
-    /// `full_drains / drain_cycles` ≈ how often the window saturates).
+    /// Drain cycles that filled to the batch cap (`full_drains /
+    /// drain_cycles` ≈ how often a sweep finds a full backlog).
     full_drains: AtomicU64,
     /// Multi-lane FDM passes served: drains where two or more frequency
     /// lanes of one waveguide coalesced into a single stacked
@@ -127,8 +111,6 @@ struct ShardCounters {
     /// Lanes coalesced across those FDM passes (`fdm_lanes /
     /// fdm_passes` ≈ lanes per pass).
     fdm_lanes: AtomicU64,
-    /// The worker's current adaptive linger window, in nanoseconds.
-    linger_ns: AtomicU64,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (a gauge the worker republishes after each
     /// drain).
@@ -287,18 +269,6 @@ impl Telemetry {
         }
     }
 
-    /// Publishes a worker's current adaptive linger window.
-    pub fn publish_linger(&self, shard: usize, linger: Duration) {
-        // ordering: Relaxed — single-writer gauge (only the shard's own
-        // worker stores it); readers want a recent value, not a fence.
-        if let Some(counters) = self.shards.get(shard) {
-            counters.linger_ns.store(
-                linger.as_nanos().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
-        }
-    }
-
     /// Publishes a shard's LUT effectiveness gauge: the sums of
     /// hit/miss/dense-row counters over the shard's live cached
     /// sessions. Stored, not accumulated — each session's counters are
@@ -449,9 +419,11 @@ impl Telemetry {
                     full_drains: s.full_drains.load(Ordering::Relaxed),
                     fdm_passes: s.fdm_passes.load(Ordering::Relaxed),
                     fdm_lanes: s.fdm_lanes.load(Ordering::Relaxed),
+                    // Filled in by `Scheduler::telemetry`, which holds
+                    // the configuration.
+                    linger: Duration::ZERO,
                     // ordering: Relaxed — same consistent-enough
                     // snapshot contract as the counters above.
-                    linger: Duration::from_nanos(s.linger_ns.load(Ordering::Relaxed)),
                     lut_hits: s.lut_hits.load(Ordering::Relaxed),
                     lut_misses: s.lut_misses.load(Ordering::Relaxed),
                     lut_dense_rows: s.lut_dense_rows.load(Ordering::Relaxed),
@@ -531,16 +503,16 @@ pub struct ShardTelemetry {
     pub drained: u64,
     /// Drain cycles since start.
     pub drain_cycles: u64,
-    /// Drain cycles that filled to `max_batch` (the linger-utilization
-    /// numerator).
+    /// Drain cycles that filled to `max_batch`.
     pub full_drains: u64,
     /// Multi-lane FDM passes: drains where ≥ 2 frequency lanes of one
     /// waveguide coalesced into a single stacked batch.
     pub fdm_passes: u64,
     /// Lanes coalesced across those passes.
     pub fdm_lanes: u64,
-    /// The worker's current linger window (zero until the worker first
-    /// publishes, or when adaptive linger is off).
+    /// The configured [`ServeConfig::linger`](crate::ServeConfig::linger),
+    /// the same on every shard: zero for the default work-conserving
+    /// drain.
     pub linger: Duration,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (republished after every drain). Cumulative
@@ -693,13 +665,11 @@ mod tests {
             telemetry.note_enqueued(shard);
         }
         telemetry.record_drain(0, 5, true);
-        telemetry.publish_linger(0, Duration::from_micros(40));
         let snap = telemetry.snapshot();
         assert_eq!(snap.shards[0].queued, 0);
         assert_eq!(snap.shards[0].drained, 5);
         assert_eq!(snap.shards[0].drain_cycles, 1);
         assert_eq!(snap.shards[0].full_drains, 1);
-        assert_eq!(snap.shards[0].linger, Duration::from_micros(40));
         assert_eq!(snap.drain_skew(), 1.0);
     }
 

@@ -1,12 +1,13 @@
 //! Adaptive serving under hot-waveguide skew: watch the placement
-//! table, linger windows and fusion counters react to load.
+//! table, drain sizes and fusion counters react to load.
 //!
 //! Four majority gates of identical design sit on four waveguides that
 //! all statically hash onto ONE shard of two — then 80 % of the
 //! traffic hammers the first one. The adaptive runtime notices the
-//! skew, migrates the co-tenant waveguides to the idle shard, fuses
-//! the background requests across waveguides, and stretches/shrinks
-//! each worker's linger window to fit its arrival rate:
+//! skew, migrates the co-tenant waveguides to the idle shard and fuses
+//! the background requests across waveguides; each worker's
+//! work-conserving drain serves whatever has queued behind the request
+//! it woke for:
 //!
 //! ```text
 //! cargo run --release --example serve_adaptive
@@ -16,7 +17,7 @@ use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::physics::waveguide::Waveguide;
 use spinwave_parallel::serve::{AdaptiveConfig, GateId, SchedulerBuilder, ServeConfig};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// All four ids statically hash to the same shard of 2 — the worst
 /// case the rebalancer exists for.
@@ -26,18 +27,14 @@ const BURST: usize = 256;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
-        workers: 2,
         max_batch: 128,
-        linger: Duration::from_micros(100),
-        queue_depth: 1024,
-        lut_dir: None,
         adaptive: AdaptiveConfig {
             rebalance_interval: 32,
             rebalance_ratio: 1.5,
             fusion_threshold: 8,
             ..AdaptiveConfig::default()
         },
+        ..ServeConfig::default()
     });
     let guide = Waveguide::paper_default()?;
     let mut ids: Vec<GateId> = Vec::new();
@@ -98,13 +95,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let telemetry = scheduler.telemetry();
         println!(
-            "round {round}: {} served, {} rebalance move(s) so far, per-shard lingers {:?}",
+            "round {round}: {} served, {} rebalance move(s) so far, per-shard drain cycles {:?}",
             outputs.len(),
             telemetry.rebalances,
             telemetry
                 .shards
                 .iter()
-                .map(|s| s.linger)
+                .map(|s| s.drain_cycles)
                 .collect::<Vec<_>>(),
         );
     }

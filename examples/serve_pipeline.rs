@@ -14,8 +14,8 @@ use spinwave_parallel::circuits::parity::ParityTree;
 use spinwave_parallel::core::backend::{BackendChoice, OperandSet};
 use spinwave_parallel::core::prelude::*;
 use spinwave_parallel::physics::waveguide::Waveguide;
-use spinwave_parallel::serve::{AdaptiveConfig, ScheduledBank, SchedulerBuilder, ServeConfig};
-use std::time::{Duration, Instant};
+use spinwave_parallel::serve::{ScheduledBank, SchedulerBuilder, ServeConfig};
+use std::time::Instant;
 
 const WIDTH: usize = 8;
 const ROUNDS: usize = 32;
@@ -23,13 +23,8 @@ const ROUNDS: usize = 32;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lut_dir = std::path::PathBuf::from("results/luts");
     let mut builder = SchedulerBuilder::new(ServeConfig {
-        keep_readouts: false,
-        workers: 2,
-        max_batch: 256,
-        linger: Duration::from_micros(100),
-        queue_depth: 1024,
         lut_dir: Some(lut_dir.clone()),
-        adaptive: AdaptiveConfig::default(),
+        ..ServeConfig::default()
     });
     // Two waveguides, each carrying a MAJ-3 + XOR-2 pair. With two
     // workers, each waveguide gets its own shard; the gates *within* a
@@ -168,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let telemetry = scheduler.telemetry();
     println!(
-        "telemetry: per-shard drained {:?}, linger windows {:?}, {} rebalance move(s)",
+        "telemetry: per-shard drained {:?} over {:?} drain cycles, {} rebalance move(s)",
         telemetry
             .shards
             .iter()
@@ -177,7 +172,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry
             .shards
             .iter()
-            .map(|s| s.linger)
+            .map(|s| s.drain_cycles)
             .collect::<Vec<_>>(),
         telemetry.rebalances,
     );

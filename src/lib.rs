@@ -108,9 +108,9 @@
 //!
 //! For sustained traffic, hand the gates to the
 //! [`serve::Scheduler`]: requests queue on bounded per-shard channels,
-//! coalesce under a batch-size/linger policy (within a gate *and*
-//! across gates sharing a [`core::gate::WaveguideId`]), and cached
-//! truth-table LUTs persist across restarts. See
+//! coalesce in work-conserving drains capped at a batch size (within a
+//! gate *and* across gates sharing a [`core::gate::WaveguideId`]), and
+//! cached truth-table LUTs persist across restarts. See
 //! `examples/serve_pipeline.rs` and the `serve_throughput` bench.
 //!
 //! Whole netlists compile to scheduler-ready plans with

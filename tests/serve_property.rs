@@ -93,60 +93,65 @@ proptest! {
 
     /// Scheduler-served answers equal sequential `ParallelGate::evaluate`
     /// for randomized interleaved multi-gate streams, with every tag
-    /// preserved and completions redeemable in any order.
+    /// preserved and completions redeemable in any order, under both a
+    /// tuned config and `ServeConfig::default()`.
     #[test]
     fn scheduler_matches_sequential_for_interleaved_streams(
         seeds in proptest::collection::vec(0u64..u64::MAX, 4..48),
         workers in 1usize..5,
     ) {
         let gates = stream_gates();
-        let mut builder = SchedulerBuilder::new(quick_config(workers));
-        let ids = [
-            builder.register("maj3", gates[0].clone(), BackendChoice::Cached).unwrap(),
-            builder.register("xor2", gates[1].clone(), BackendChoice::Analytic).unwrap(),
-            builder.register("maj5", gates[2].clone(), BackendChoice::Cached).unwrap(),
-        ];
-        let scheduler = builder.build().unwrap();
+        // The shipped default (work-conserving drains, two shards) next
+        // to the tuned small-batch config.
+        for config in [quick_config(workers), ServeConfig::default()] {
+            let mut builder = SchedulerBuilder::new(config);
+            let ids = [
+                builder.register("maj3", gates[0].clone(), BackendChoice::Cached).unwrap(),
+                builder.register("xor2", gates[1].clone(), BackendChoice::Analytic).unwrap(),
+                builder.register("maj5", gates[2].clone(), BackendChoice::Cached).unwrap(),
+            ];
+            let scheduler = builder.build().unwrap();
 
-        let requests: Vec<(usize, OperandSet)> = seeds
-            .iter()
-            .map(|&s| request_from_seed(&gates, s))
-            .collect();
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|(which, set)| scheduler.submit(ids[*which], set.clone()).unwrap())
-            .collect();
+            let requests: Vec<(usize, OperandSet)> = seeds
+                .iter()
+                .map(|&s| request_from_seed(&gates, s))
+                .collect();
+            let tickets: Vec<Ticket> = requests
+                .iter()
+                .map(|(which, set)| scheduler.submit(ids[*which], set.clone()).unwrap())
+                .collect();
 
-        // Tags are unique across the stream.
-        let mut tags: Vec<u64> = tickets.iter().map(Ticket::tag).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        prop_assert_eq!(tags.len(), tickets.len());
+            // Tags are unique across the stream.
+            let mut tags: Vec<u64> = tickets.iter().map(Ticket::tag).collect();
+            tags.sort_unstable();
+            tags.dedup();
+            prop_assert_eq!(tags.len(), tickets.len());
 
-        // Redeem out of submission order (reversed): each completion
-        // must still match ITS request's sequential evaluation.
-        for (ticket, (which, set)) in
-            tickets.into_iter().rev().zip(requests.iter().rev())
-        {
-            let served = ticket.wait().unwrap();
-            let reference = gates[*which].evaluate(set.words()).unwrap();
-            prop_assert_eq!(served.word(), reference.word());
+            // Redeem out of submission order (reversed): each completion
+            // must still match ITS request's sequential evaluation.
+            for (ticket, (which, set)) in
+                tickets.into_iter().rev().zip(requests.iter().rev())
+            {
+                let served = ticket.wait().unwrap();
+                let reference = gates[*which].evaluate(set.words()).unwrap();
+                prop_assert_eq!(served.word(), reference.word());
+            }
+
+            let stats = scheduler.stats();
+            prop_assert_eq!(stats.completed, seeds.len() as u64);
+            prop_assert_eq!(stats.failed, 0);
+            scheduler.shutdown().unwrap();
         }
-
-        let stats = scheduler.stats();
-        prop_assert_eq!(stats.completed, seeds.len() as u64);
-        prop_assert_eq!(stats.failed, 0);
-        scheduler.shutdown().unwrap();
     }
 
     /// With every adaptive policy enabled and aggressive thresholds
-    /// (rebalancing every 8 submissions, fusion from 4 pending jobs,
-    /// linger walking between 10 µs and 1 ms), a hot-waveguide skewed
-    /// stream — ~80 % of requests hammering waveguide 0, the rest
-    /// spread over three co-registered waveguides of the same gate
-    /// design plus an XOR sharing the hot waveguide — must stay
-    /// output-equivalent to sequential `ParallelGate::evaluate`,
-    /// whatever placement moves and fused batches happen underneath.
+    /// (rebalancing every 8 submissions, fusion from 4 pending jobs),
+    /// a hot-waveguide skewed stream — ~80 % of requests hammering
+    /// waveguide 0, the rest spread over three co-registered waveguides
+    /// of the same gate design plus an XOR sharing the hot waveguide —
+    /// must stay output-equivalent to sequential
+    /// `ParallelGate::evaluate`, whatever placement moves and fused
+    /// batches happen underneath.
     #[test]
     fn adaptive_scheduler_matches_sequential_under_hot_waveguide_skew(
         seeds in proptest::collection::vec(0u64..u64::MAX, 16..96),
@@ -180,9 +185,6 @@ proptest! {
             queue_depth: 512,
             lut_dir: None,
             adaptive: AdaptiveConfig {
-                adaptive_linger: true,
-                min_linger: Duration::from_micros(10),
-                max_linger: Duration::from_millis(1),
                 rebalance: true,
                 rebalance_interval: 8,
                 rebalance_ratio: 1.5,
