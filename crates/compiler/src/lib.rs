@@ -21,7 +21,7 @@
 //!    disjoint with the grid's guard band and the
 //!    [`magnon_core::crosstalk::LaneIsolationReport`] stays clean; the
 //!    per-slot crosstalk penalty is the placement cost function, so
-//!    FDM stacking and deep drains happen by construction;
+//!    dense lane packing and deep drains happen by construction;
 //! 4. **emit** — a [`plan::CompiledCircuit`] bundling the circuit, its
 //!    wavefronts, the slot table and a [`plan::CompileReport`].
 //!

@@ -14,8 +14,8 @@
 //!   ties broken by the slot's crosstalk penalty (worst Lorentzian
 //!   leakage against its co-resident lanes) and then by index. Gates
 //!   of one wavefront therefore spread across lanes and waveguides —
-//!   whole-waveguide drains stack them into multi-lane FDM passes by
-//!   construction.
+//!   the lanes of a waveguide start on one scheduler shard, so a
+//!   wavefront's requests share its drain cycles by construction.
 
 use crate::levelize::Levelized;
 use crate::{CompileError, CompilerConfig};

@@ -989,78 +989,6 @@ impl std::fmt::Debug for GateSession {
     }
 }
 
-/// One frequency lane's slice of a multi-lane FDM batch: the lane's
-/// session (its gate defines the channel group) and the operand sets
-/// queued for it.
-pub struct LaneBatch<'a> {
-    /// The session serving this lane's gate.
-    pub session: &'a mut GateSession,
-    /// The lane's queued operand sets.
-    pub sets: &'a [OperandSet],
-}
-
-/// Evaluates several frequency lanes of one waveguide as a single
-/// multi-lane pass (frequency-division multiplexing, arXiv:2008.12220).
-///
-/// Physically all lanes ride one excitation of the shared medium —
-/// their frequency bands are disjoint, so each gate's detectors see
-/// only their own channels. Computationally the pass stacks the lanes'
-/// channel groups: every lane's shapes are validated up front so a
-/// malformed operand in *any* lane fails the whole batch before any
-/// lane evaluates, then each lane's channel group decodes through its
-/// own compiled prep. Returns one output vector per lane, in lane
-/// order.
-///
-/// The all-or-nothing guarantee covers operand-*shape* errors only: a
-/// backend failure mid-pass (possible for engines that can fail at
-/// evaluation time, e.g. micromagnetics) aborts at the failing lane
-/// with earlier lanes already evaluated — callers that need exact
-/// once-only semantics must re-drive per request on error, which is
-/// what the serving runtime's fallback does. That runtime also never
-/// stacks micromagnetic lanes in the first place (their time-domain
-/// simulation is per-gate, mirroring the no-fusion rule for
-/// fingerprint batching); this function leaves that exclusion to the
-/// caller.
-///
-/// # Errors
-///
-/// * [`GateError::InputCountMismatch`] / [`GateError::WordWidthMismatch`]
-///   when any lane's operands are malformed (no lane evaluates).
-/// * Backend failures from the first failing lane (earlier lanes have
-///   evaluated).
-pub fn evaluate_fdm_batch(lanes: &mut [LaneBatch<'_>]) -> Result<Vec<Vec<GateOutput>>, GateError> {
-    for lane in lanes.iter() {
-        for set in lane.sets {
-            lane.session.gate().check_inputs(set.words())?;
-        }
-    }
-    lanes
-        .iter_mut()
-        .map(|lane| lane.session.evaluate_batch(lane.sets))
-        .collect()
-}
-
-/// The logic-only variant of [`evaluate_fdm_batch`]: identical
-/// validation and lane semantics, but each lane answers bare output
-/// words (no readout diagnostics) through
-/// [`GateSession::evaluate_batch_logic`] — per-lane batches ride the
-/// bit-sliced kernel when the lane's backend is cached.
-///
-/// # Errors
-///
-/// Same conditions as [`evaluate_fdm_batch`].
-pub fn evaluate_fdm_batch_logic(lanes: &mut [LaneBatch<'_>]) -> Result<Vec<Vec<Word>>, GateError> {
-    for lane in lanes.iter() {
-        for set in lane.sets {
-            lane.session.gate().check_inputs(set.words())?;
-        }
-    }
-    lanes
-        .iter_mut()
-        .map(|lane| lane.session.evaluate_batch_logic(lane.sets))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1234,70 +1162,6 @@ mod tests {
         let mut analytic = AnalyticBackend::new(gate);
         assert!(analytic.lut_snapshot().is_none());
         assert_eq!(analytic.import_lut(&snapshot).unwrap(), 0);
-    }
-
-    #[test]
-    fn fdm_batch_matches_per_lane_evaluation_and_fails_whole() {
-        use crate::gate::LaneId;
-        // Two distinct designs on disjoint bands: the paper-default
-        // 10–80 GHz majority and a 100 GHz-based XOR lane.
-        let maj = byte_majority();
-        let xor = ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
-            .channels(8)
-            .inputs(2)
-            .function(LogicFunction::Xor)
-            .base_frequency(100e9)
-            .on_lane(LaneId(1))
-            .build()
-            .unwrap();
-        assert!(!maj.frequency_lane().overlaps(xor.frequency_lane()));
-        let mut maj_session = maj.session(BackendChoice::Cached).unwrap();
-        let mut xor_session = xor.session(BackendChoice::Analytic).unwrap();
-        let maj_sets = sample_sets(5);
-        let xor_sets: Vec<OperandSet> = sample_sets(3)
-            .into_iter()
-            .map(|s| OperandSet::new(s.words()[..2].to_vec()))
-            .collect();
-        let outputs = evaluate_fdm_batch(&mut [
-            LaneBatch {
-                session: &mut maj_session,
-                sets: &maj_sets,
-            },
-            LaneBatch {
-                session: &mut xor_session,
-                sets: &xor_sets,
-            },
-        ])
-        .unwrap();
-        assert_eq!(outputs.len(), 2);
-        for (out, set) in outputs[0].iter().zip(&maj_sets) {
-            assert_eq!(out.word(), maj.evaluate(set.words()).unwrap().word());
-        }
-        for (out, set) in outputs[1].iter().zip(&xor_sets) {
-            assert_eq!(out.word(), xor.evaluate(set.words()).unwrap().word());
-        }
-        assert_eq!(maj_session.sets_evaluated(), 5);
-        assert_eq!(xor_session.sets_evaluated(), 3);
-
-        // A malformed operand in the SECOND lane fails the whole pass
-        // before the first lane evaluates anything.
-        let bad = vec![OperandSet::new(vec![Word::from_u8(1)])];
-        let err = evaluate_fdm_batch(&mut [
-            LaneBatch {
-                session: &mut maj_session,
-                sets: &maj_sets,
-            },
-            LaneBatch {
-                session: &mut xor_session,
-                sets: &bad,
-            },
-        ]);
-        assert!(matches!(err, Err(GateError::InputCountMismatch { .. })));
-        assert_eq!(
-            maj_session.sets_evaluated(),
-            5,
-            "the all-or-nothing pass must not half-evaluate"
-        );
     }
 
     #[test]

@@ -42,8 +42,8 @@ impl std::fmt::Display for WaveguideId {
 /// channel as long as their frequency bands stay disjoint. A lane id
 /// names one such band: gates sharing a [`WaveguideId`] but carrying
 /// distinct lane ids are independent compute channels of one medium,
-/// and the serving runtime coalesces their drains into a single
-/// multi-lane excitation pass (see `magnon-serve`).
+/// and the serving runtime keeps them on one shard so their requests
+/// share drain cycles (see `magnon-serve`).
 ///
 /// Gates default to lane `0`, so every pre-FDM gate keeps its old
 /// single-lane behaviour.
@@ -241,8 +241,8 @@ impl ParallelGateBuilder {
 
     /// Tags the gate with the frequency lane it occupies on its
     /// waveguide (default [`LaneId`] `0`). Gates on the same waveguide
-    /// but different lanes are independent compute channels: schedulers
-    /// coalesce their drains into one multi-lane pass. The lane id is a
+    /// but different lanes are independent compute channels that the
+    /// scheduler serves side by side on one shard. The lane id is a
     /// *name* for the band — the band itself is whatever frequencies
     /// the builder allocates, so co-located lanes should also use
     /// disjoint frequency plans (e.g. via

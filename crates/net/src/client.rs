@@ -208,7 +208,8 @@ impl NetClient {
 
     /// The directory entries riding `waveguide`, as `(id, lane, info)`
     /// — the lanes-per-waveguide view of the hello-ack. Entries on
-    /// distinct lanes serve concurrently via FDM server-side.
+    /// distinct lanes occupy disjoint bands of one medium and share the
+    /// waveguide's drain cycles server-side.
     pub fn gates_on_waveguide(
         &self,
         waveguide: u64,

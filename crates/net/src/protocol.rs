@@ -74,7 +74,8 @@ pub struct GateInfo {
     /// Channel count / word width.
     pub word_width: u8,
     /// The physical waveguide the gate is patterned on. Gates sharing
-    /// a waveguide on distinct lanes serve concurrently via FDM.
+    /// a waveguide on distinct lanes occupy disjoint frequency bands
+    /// and share the waveguide's drain cycles server-side.
     pub waveguide: u64,
     /// The gate's frequency lane on that waveguide.
     pub lane: u16,

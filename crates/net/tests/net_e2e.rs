@@ -332,8 +332,8 @@ fn lanes_ride_the_wire_directory_pins_and_fdm_coalescing() {
     use magnon_core::gate::LaneId;
     // Two frequency lanes of ONE waveguide: the v2 directory must
     // advertise both, lane-pinned submits must validate, and remote
-    // traffic hitting both lanes must coalesce into multi-lane FDM
-    // drains server-side.
+    // traffic hitting both lanes must share drains server-side (the
+    // lanes are co-resident on one shard).
     let mut builder = SchedulerBuilder::new(ServeConfig {
         keep_readouts: false,
         workers: 1,
@@ -417,8 +417,8 @@ fn lanes_ride_the_wire_directory_pins_and_fdm_coalescing() {
         }
     }
 
-    // Interleaved remote traffic across both lanes coalesces into
-    // multi-lane FDM drains on the shared waveguide.
+    // Interleaved remote traffic across both lanes shares drains on
+    // the waveguide's shard.
     let requests: Vec<(RemoteGateId, Vec<Word>)> = (0..64u64)
         .map(|i| {
             let gate = if i % 2 == 0 { maj_lane0 } else { maj_lane1 };
@@ -449,10 +449,17 @@ fn lanes_ride_the_wire_directory_pins_and_fdm_coalescing() {
     drop(client);
     server.shutdown();
     let scheduler = Arc::try_unwrap(scheduler).unwrap();
+    let shard_of =
+        |gate: RemoteGateId| scheduler.shard_of(scheduler.gate_id(gate.index() as usize).unwrap());
+    assert_eq!(
+        shard_of(maj_lane0),
+        shard_of(maj_lane1),
+        "both lanes of waveguide 0 must be co-resident"
+    );
     let stats = scheduler.stats();
     assert!(
-        stats.fdm_batches >= 1 && stats.fdm_lanes >= 2,
-        "remote two-lane traffic must stack into FDM drains: {stats:?}"
+        stats.cross_gate_passes >= 1,
+        "remote two-lane traffic must share drains: {stats:?}"
     );
     scheduler.shutdown().unwrap();
 }

@@ -118,6 +118,20 @@ mod tests {
             .unwrap()
     }
 
+    /// A 2-input XOR on lane 1 of waveguide 0 (100 GHz band), disjoint
+    /// from [`byte_majority`]'s 10–80 GHz lane 0.
+    fn xor_lane1() -> magnon_core::gate::ParallelGate {
+        ParallelGateBuilder::new(Waveguide::paper_default().unwrap())
+            .channels(8)
+            .inputs(2)
+            .function(LogicFunction::Xor)
+            .base_frequency(100e9)
+            .on_waveguide(WaveguideId(0))
+            .on_lane(magnon_core::gate::LaneId(1))
+            .build()
+            .unwrap()
+    }
+
     fn sample_sets(count: usize, inputs: usize) -> Vec<OperandSet> {
         (0..count as u64)
             .map(|i| {
@@ -247,6 +261,55 @@ mod tests {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 1);
+        scheduler.shutdown().unwrap();
+
+        // Two lanes of waveguide 0 sharing one drain: a malformed
+        // operand on lane 1, co-queued with well-formed requests on
+        // both lanes, fails alone.
+        let mut builder = SchedulerBuilder::new(ServeConfig {
+            linger: Duration::from_millis(2),
+            adaptive: AdaptiveConfig::off(),
+            ..quick_config(1)
+        });
+        let maj = builder
+            .register("maj_lane0", byte_majority(), BackendChoice::Cached)
+            .unwrap();
+        let xor = builder
+            .register("xor_lane1", xor_lane1(), BackendChoice::Cached)
+            .unwrap();
+        let scheduler = builder.build().unwrap();
+        let mut requests = Vec::new();
+        for (m, x) in sample_sets(4, 3).into_iter().zip(sample_sets(4, 2)) {
+            requests.push((maj, m));
+            requests.push((xor, x));
+        }
+        let bad_index = 3;
+        requests.insert(bad_index, (xor, OperandSet::new(vec![Word::from_u8(1)])));
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|(id, set)| scheduler.submit(*id, set.clone()).unwrap())
+            .collect();
+        for (index, ((id, set), ticket)) in requests.iter().zip(tickets).enumerate() {
+            let result = ticket.wait();
+            if index == bad_index {
+                assert!(matches!(result, Err(ServeError::Gate(_))), "got {result:?}");
+            } else {
+                let reference = scheduler.gate(*id).unwrap().evaluate(set.words()).unwrap();
+                assert_eq!(result.unwrap().word(), reference.word());
+            }
+        }
+        let stats = scheduler.stats();
+        assert_eq!(stats.completed, 8);
+        assert_eq!(stats.failed, 1);
+        assert!(
+            stats.cross_gate_passes >= 1,
+            "both lanes must share a drain: {stats:?}"
+        );
+        let served: u64 = scheduler.telemetry().lanes.iter().map(|l| l.served).sum();
+        assert_eq!(
+            served, stats.completed,
+            "per-lane served must sum to completed"
+        );
         scheduler.shutdown().unwrap();
     }
 
@@ -539,9 +602,8 @@ mod tests {
         // The FDM acceptance shape: a majority gate on waveguide 0 lane
         // 0 (the paper's 10–80 GHz band) and an XOR on the SAME
         // waveguide, lane 1 (100 GHz band). Fingerprint fusion is off —
-        // the designs differ anyway — so any coalescing across the two
-        // gates can only come from multi-lane FDM stacking.
-        let guide = Waveguide::paper_default().unwrap();
+        // the designs differ anyway — so any drain serving both gates
+        // comes from the lanes sharing one shard.
         let mut builder = SchedulerBuilder::new(ServeConfig {
             keep_readouts: false,
             workers: 1,
@@ -555,19 +617,7 @@ mod tests {
             .register("maj_lane0", byte_majority(), BackendChoice::Cached)
             .unwrap();
         let xor = builder
-            .register(
-                "xor_lane1",
-                ParallelGateBuilder::new(guide)
-                    .channels(8)
-                    .inputs(2)
-                    .function(LogicFunction::Xor)
-                    .base_frequency(100e9)
-                    .on_waveguide(WaveguideId(0))
-                    .on_lane(LaneId(1))
-                    .build()
-                    .unwrap(),
-                BackendChoice::Cached,
-            )
+            .register("xor_lane1", xor_lane1(), BackendChoice::Cached)
             .unwrap();
         let scheduler = builder.build().unwrap();
         // Both lanes of waveguide 0 start co-resident on the one shard.
@@ -589,14 +639,10 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.fused_batches, 0, "no fingerprint fusion here");
         assert!(
-            stats.fdm_batches >= 1 && stats.fdm_lanes >= 2 && stats.fdm_requests > 0,
-            "two lanes of one waveguide must stack into a multi-lane drain: {stats:?}"
+            stats.cross_gate_passes >= 1,
+            "two lanes of one waveguide must share a drain: {stats:?}"
         );
         let telemetry = scheduler.telemetry();
-        assert!(
-            telemetry.shards[0].fdm_passes >= 1 && telemetry.shards[0].fdm_lanes >= 2,
-            "the shard must report its FDM passes: {telemetry:?}"
-        );
         let lane0 = telemetry
             .lanes
             .iter()
@@ -617,8 +663,8 @@ mod tests {
     fn overlapping_bands_on_distinct_lanes_are_rejected_at_build() {
         use magnon_core::gate::LaneId;
         // Two gates claim distinct lanes of waveguide 0 but both sit on
-        // the default 10–80 GHz band: a stacked "single excitation"
-        // over colliding spectra is physically impossible, so the
+        // the default 10–80 GHz band: two lanes of one medium over
+        // colliding spectra would read each other's channels, so the
         // builder must refuse instead of serving it silently.
         let mut builder = SchedulerBuilder::new(quick_config(1));
         builder
@@ -674,48 +720,6 @@ mod tests {
             )
             .unwrap();
         builder.build().unwrap().shutdown().unwrap();
-    }
-
-    #[test]
-    fn single_lane_traffic_never_reports_fdm_passes() {
-        // Pre-FDM shape: two designs sharing waveguide 0 on the SAME
-        // lane must keep the old per-gate batches (no stacked pass).
-        let guide = Waveguide::paper_default().unwrap();
-        let mut builder = SchedulerBuilder::new(ServeConfig {
-            keep_readouts: false,
-            workers: 1,
-            linger: Duration::from_millis(2),
-            ..quick_config(1)
-        });
-        let maj = builder
-            .register("maj", byte_majority(), BackendChoice::Cached)
-            .unwrap();
-        let xor = builder
-            .register(
-                "xor",
-                ParallelGateBuilder::new(guide)
-                    .channels(8)
-                    .inputs(2)
-                    .function(LogicFunction::Xor)
-                    .build()
-                    .unwrap(),
-                BackendChoice::Cached,
-            )
-            .unwrap();
-        let scheduler = builder.build().unwrap();
-        let mut requests = Vec::new();
-        for (m, x) in sample_sets(8, 3).iter().zip(&sample_sets(8, 2)) {
-            requests.push((maj, m.clone()));
-            requests.push((xor, x.clone()));
-        }
-        scheduler.evaluate_many(&requests).unwrap();
-        let stats = scheduler.stats();
-        assert_eq!(stats.completed, 16);
-        assert_eq!(
-            stats.fdm_batches, 0,
-            "same-lane gates must not stack: {stats:?}"
-        );
-        scheduler.shutdown().unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   briefly on [`Ticket::wait_timeout`] when nothing moves). No level
 //!   barriers: independent subgraphs, and different operand sets of
 //!   the *same* subgraph, interleave freely across shards and lanes,
-//!   so worker drains stay deep and multi-lane FDM passes form by
+//!   so worker drains stay deep and co-resident lanes share them by
 //!   construction.
 //! * [`CircuitExecutor::run_batch_levelized`] — the caller-serialized
 //!   baseline: submit one whole wavefront, wait for all of it, then
@@ -272,10 +272,11 @@ impl<'a> CircuitExecutor<'a> {
             // cycles in near-submission order, so the oldest usually
             // lands first), then sweep EVERY in-flight ticket without
             // blocking. The sweep must not stop at the first pending
-            // ticket: fused and FDM drains complete requests out of
-            // submission order, so a slow head can hide finished
-            // tickets behind it — and the dependents those completions
-            // would unlock sit unsubmitted for a full park per round.
+            // ticket: fused drains, and drains serving several gates,
+            // complete requests out of submission order, so a slow head
+            // can hide finished tickets behind it — and the dependents
+            // those completions would unlock sit unsubmitted for a full
+            // park per round.
             // (The model checker's executor-pipeline scenario caught
             // the prefix-only variant of this loop doing exactly that.)
             // A timed-out head stays redeemable on a later round.

@@ -122,9 +122,6 @@ pub(crate) struct SharedStats {
     pub max_drain: AtomicU64,
     pub fused_batches: AtomicU64,
     pub fused_requests: AtomicU64,
-    pub fdm_batches: AtomicU64,
-    pub fdm_lanes: AtomicU64,
-    pub fdm_requests: AtomicU64,
 }
 
 impl SharedStats {
@@ -157,16 +154,6 @@ impl SharedStats {
         self.fused_requests.fetch_add(requests, Ordering::Relaxed);
     }
 
-    /// Records one multi-lane FDM pass: `requests` jobs across `lanes`
-    /// frequency lanes of one waveguide, stacked into a single
-    /// whole-waveguide excitation.
-    pub fn record_fdm_pass(&self, lanes: u64, requests: u64) {
-        // ordering: Relaxed — monotonic stat counters, dashboards only.
-        self.fdm_batches.fetch_add(1, Ordering::Relaxed);
-        self.fdm_lanes.fetch_add(lanes, Ordering::Relaxed);
-        self.fdm_requests.fetch_add(requests, Ordering::Relaxed);
-    }
-
     pub fn snapshot(&self) -> SchedulerStats {
         SchedulerStats {
             // ordering: Relaxed throughout — a point-in-time stats
@@ -183,9 +170,9 @@ impl SharedStats {
             max_drain: self.max_drain.load(Ordering::Relaxed),
             fused_batches: self.fused_batches.load(Ordering::Relaxed),
             fused_requests: self.fused_requests.load(Ordering::Relaxed),
-            fdm_batches: self.fdm_batches.load(Ordering::Relaxed),
-            fdm_lanes: self.fdm_lanes.load(Ordering::Relaxed),
-            fdm_requests: self.fdm_requests.load(Ordering::Relaxed),
+            fdm_batches: 0,
+            fdm_lanes: 0,
+            fdm_requests: 0,
         }
     }
 }
@@ -219,13 +206,19 @@ pub struct SchedulerStats {
     pub fused_batches: u64,
     /// Requests that rode a fused batch.
     pub fused_requests: u64,
-    /// Multi-lane FDM passes issued: one stacked evaluation carrying
-    /// two or more frequency lanes of a single waveguide
-    /// (frequency-division multiplexing, arXiv:2008.12220).
+    /// Always 0 since the stacked FDM pass was removed; kept for the
+    /// benchmark's reader (`perfbench`); remove with the next benchmark
+    /// change. Lanes of one waveguide share drain cycles through the
+    /// ordinary per-group path, which
+    /// [`SchedulerStats::cross_gate_passes`] counts.
     pub fdm_batches: u64,
-    /// Lanes coalesced across those FDM passes.
+    /// Always 0 since the stacked FDM pass was removed; kept for the
+    /// benchmark's reader (`perfbench`); remove with the next benchmark
+    /// change.
     pub fdm_lanes: u64,
-    /// Requests that rode an FDM pass.
+    /// Always 0 since the stacked FDM pass was removed; kept for the
+    /// benchmark's reader (`perfbench`); remove with the next benchmark
+    /// change.
     pub fdm_requests: u64,
 }
 

@@ -16,9 +16,8 @@
 //!   drain → group        drain → group     backend instance per gate
 //!   by gate (or by       by gate (or by    (split_session from a
 //!   design, fused) →     design, fused) →  shared template)
-//!   stack lanes of a     stack lanes of a
-//!   waveguide → FDM      waveguide → FDM
-//!   evaluate pass        evaluate pass
+//!   one evaluate_batch   one evaluate_batch
+//!   per group            per group
 //! ```
 //!
 //! A worker drains its queue in cycles: it blocks on the first request,
@@ -38,13 +37,14 @@
 //! # Frequency-division multiplexing
 //!
 //! Gates carrying the same [`WaveguideId`] but distinct [`LaneId`]s
-//! occupy disjoint frequency bands of one physical medium, so their
-//! groups do not stay separate batches: the drain stacks every lane of
-//! a waveguide into one multi-lane [`evaluate_fdm_batch`]
-//! pass (micromagnetic backends are excluded, mirroring the no-fusion
-//! rule). Per-shard FDM pass counters and per-lane served counters
-//! surface through [`Scheduler::telemetry`]; register lane-shifted
-//! circuit gates with
+//! occupy disjoint frequency bands of one physical medium
+//! (arXiv:2008.12220); [`SchedulerBuilder::build`] rejects distinct
+//! lanes of one waveguide whose bands overlap. Placement starts every
+//! lane of a waveguide on the same shard, so the lanes' groups share
+//! each drain cycle and serve through the ordinary per-group path.
+//! [`SchedulerStats::cross_gate_passes`] counts the drains that served
+//! more than one gate, and per-lane served counters surface through
+//! [`Scheduler::telemetry`]; register lane-shifted circuit gates with
 //! [`SchedulerBuilder::register_circuit_gates_on_lane`].
 //!
 //! # Adaptive policies
@@ -89,10 +89,7 @@ use crate::error::ServeError;
 use crate::request::{EvalJob, GateId, SchedulerStats, SharedStats, Ticket};
 use crate::telemetry::{AdaptiveConfig, Telemetry, TelemetrySnapshot};
 use magnon_circuits::netlist::{fdm_lane_base, packed_frequency_step};
-use magnon_core::backend::{
-    evaluate_fdm_batch, evaluate_fdm_batch_logic, BackendChoice, GateSession, LaneBatch,
-    OperandSet, RequestTag,
-};
+use magnon_core::backend::{BackendChoice, GateSession, OperandSet, RequestTag};
 use magnon_core::gate::{GateOutput, LaneId, ParallelGate, ParallelGateBuilder, WaveguideId};
 use magnon_core::lut_store::{load_lut, save_lut, LutSnapshot};
 use magnon_core::sync::atomic::{AtomicU64, Ordering};
@@ -176,15 +173,6 @@ struct GateMeta {
     fingerprint: u64,
     /// Index into the `(waveguide, lane)` placement table.
     lane_slot: usize,
-    /// The gate's waveguide — FDM passes only stack lanes of one
-    /// physical medium.
-    waveguide: WaveguideId,
-    /// The gate's frequency lane on that waveguide.
-    lane: LaneId,
-    /// Whether this gate's backend may join a multi-lane FDM pass
-    /// (micromag never does: its time-domain simulation is per-gate,
-    /// the same rule that keeps it out of fingerprint fusion).
-    fdm_ok: bool,
 }
 
 /// Registers gates, then builds the runtime.
@@ -286,8 +274,8 @@ impl SchedulerBuilder {
     /// shifts to lane `lane`'s slice of the spectrum
     /// ([`fdm_lane_base`]), so several circuits can ride one physical
     /// waveguide concurrently — the FDM serving axis of the companion
-    /// paper (arXiv:2008.12220). A whole-waveguide drain then coalesces
-    /// the lanes into one multi-lane pass.
+    /// paper (arXiv:2008.12220). Lanes of one waveguide start on the
+    /// same shard, so their groups share drain cycles.
     ///
     /// # Errors
     ///
@@ -368,11 +356,11 @@ impl SchedulerBuilder {
         config.adaptive.rebalance_interval = config.adaptive.rebalance_interval.max(1);
         config.adaptive.fusion_threshold = config.adaptive.fusion_threshold.max(2);
 
-        // Distinct lanes of one waveguide must occupy disjoint bands —
-        // the drain stacks them into one physical excitation, which is
-        // only real when their spectra cannot interfere. (Same-lane
-        // gates may share a band: they serve as separate passes, the
-        // pre-FDM behaviour.)
+        // Distinct lanes of one waveguide must occupy disjoint bands:
+        // they share one physical medium, and only disjoint spectra
+        // keep each gate's detectors blind to the other lanes'
+        // channels. (Same-lane gates may share a band: they serve as
+        // separate batches, the pre-FDM behaviour.)
         for (i, (name_a, gate_a, _)) in self.registrations.iter().enumerate() {
             for (name_b, gate_b, _) in self.registrations.iter().skip(i + 1) {
                 if gate_a.waveguide_id() == gate_b.waveguide_id()
@@ -383,8 +371,8 @@ impl SchedulerBuilder {
                         reason: format!(
                             "gates `{name_a}` ({}) and `{name_b}` ({}) claim distinct frequency \
                              lanes of {} but their bands overlap ({:.1}-{:.1} GHz vs {:.1}-{:.1} \
-                             GHz) — stacked FDM passes need disjoint spectra (shift one with \
-                             base_frequency/fdm_lane_base, or put them on the same lane)",
+                             GHz) — lanes sharing a waveguide need disjoint spectra (shift one \
+                             with base_frequency/fdm_lane_base, or put them on the same lane)",
                             gate_a.lane_id(),
                             gate_b.lane_id(),
                             gate_a.waveguide_id(),
@@ -417,8 +405,8 @@ impl SchedulerBuilder {
             let lane = gate.lane_id();
             // Placement is per (waveguide, lane), but the initial shard
             // comes from the waveguide alone, so all lanes of one
-            // medium start co-resident and FDM-coalesce from the first
-            // drain (the rebalancer may separate them later).
+            // medium start co-resident and share drain cycles from the
+            // first drain (the rebalancer may separate them later).
             let lane_slot = *lane_slots.entry((waveguide.0, lane.0)).or_insert_with(|| {
                 placements.push((waveguide, lane, static_shard(waveguide, config.workers)));
                 placements.len() - 1
@@ -426,9 +414,6 @@ impl SchedulerBuilder {
             meta.push(GateMeta {
                 fingerprint: fusion_fingerprint(index, &gate, choice),
                 lane_slot,
-                waveguide,
-                lane,
-                fdm_ok: !matches!(choice, BackendChoice::Micromag(_)),
             });
             entries.push(GateEntry {
                 name,
@@ -557,25 +542,17 @@ fn fusion_fingerprint(index: usize, gate: &ParallelGate, choice: BackendChoice) 
 /// the waived amortized-growth sites that fill these.
 #[derive(Default)]
 struct DrainScratch {
-    /// Level-1 association list, group key → jobs. Replaces a
+    /// Association list, group key → jobs. Replaces a
     /// per-drain `BTreeMap`: linear scans win at drain-sized group
     /// counts, and the entries reuse pooled job vectors instead of
     /// allocating a node per job.
     groups: Vec<(u64, Vec<EvalJob>)>,
-    /// Uniform-FDM groups peeled out of `groups`, re-keyed by
-    /// waveguide id and sorted so each waveguide's candidates form one
-    /// contiguous run.
-    fdm: Vec<(u64, Vec<EvalJob>)>,
-    /// Emptied job vectors handed back by the serve paths.
+    /// Emptied job vectors handed back by [`Worker::serve_group`].
     pool: Vec<Vec<EvalJob>>,
     /// Gate indices touched this drain (sorted + deduped in place,
     /// replacing a per-drain `BTreeSet`).
     gates: Vec<usize>,
-    /// Per-waveguide lane election: `(lane, run offset, depth)`.
-    lanes: Vec<(u16, usize, usize)>,
-    /// Groups elected into one stacked FDM pass.
-    stacked: Vec<Vec<EvalJob>>,
-    /// Per-batch staging shared by the serve paths.
+    /// Per-batch staging for [`Worker::serve_group`].
     stage: GroupStage,
 }
 
@@ -602,7 +579,7 @@ struct Worker {
     sessions: Vec<Option<GateSession>>,
     /// Warm templates shared by all shards, the source of lazy splits.
     templates: Arc<Vec<GateSession>>,
-    /// `meta[gate index]` — fusion key, lane slot and FDM eligibility.
+    /// `meta[gate index]` — fusion key and lane slot.
     meta: Arc<Vec<GateMeta>>,
     /// See [`ServeConfig::linger`].
     linger: Duration,
@@ -700,23 +677,20 @@ impl Worker {
 
     /// Routing facts for `gate`. Every caller runs behind
     /// [`Worker::serve_drain`]'s index assert, so the fallback (a
-    /// solitary non-FDM, non-fusing meta) is dead code that exists only
-    /// to keep the drain path free of panicking lookups.
+    /// solitary, non-fusing meta) is dead code that exists only to keep
+    /// the drain path free of panicking lookups.
     fn meta_of(&self, gate: usize) -> GateMeta {
         self.meta.get(gate).copied().unwrap_or(GateMeta {
             fingerprint: gate as u64,
             lane_slot: 0,
-            waveguide: WaveguideId(u64::MAX),
-            lane: LaneId(u16::MAX),
-            fdm_ok: false,
         })
     }
 
     /// Serves one drain cycle: group by gate — or, when the drain is
-    /// deep enough to fuse, by design fingerprint — then stack groups
-    /// riding distinct frequency lanes of one waveguide into a single
-    /// multi-lane FDM pass. One batch per surviving group, tags routed
-    /// back to their tickets.
+    /// deep enough to fuse, by design fingerprint — then issue one batch
+    /// per group, tags routed back to their tickets. Groups on distinct
+    /// frequency lanes of a co-resident waveguide share the cycle like
+    /// any other gates of the shard.
     fn serve_drain(&mut self, pending: &mut Vec<EvalJob>) {
         let drained = pending.len() as u64;
         let hit_cap = pending.len() >= self.max_batch;
@@ -768,92 +742,7 @@ impl Worker {
         scratch.gates.sort_unstable();
         scratch.gates.dedup();
         let gates_touched = scratch.gates.len() as u64;
-        // Second level: peel FDM-eligible groups out into `fdm`,
-        // re-keyed by waveguide. A group qualifies when every job sits
-        // on one waveguide through an FDM-capable backend
-        // (fingerprint-fused groups may span waveguides; those stay
-        // behind in `groups` and serve unstacked, as before).
-        scratch.fdm.clear();
-        let fdm = &mut scratch.fdm;
-        scratch.groups.retain_mut(|(_, group)| {
-            let Some(first) = group.first() else {
-                return false;
-            };
-            let lead = self.meta_of(first.gate);
-            let uniform = lead.fdm_ok
-                && group.iter().all(|job| {
-                    let meta = self.meta_of(job.gate);
-                    meta.fdm_ok && meta.waveguide == lead.waveguide
-                });
-            if uniform {
-                // analyze: allow(can-alloc) — amortized: scratch list
-                // keeps its capacity across drains.
-                fdm.push((lead.waveguide.0, std::mem::take(group)));
-            }
-            !uniform
-        });
-        scratch.fdm.sort_unstable_by_key(|entry| entry.0);
         let mut batches = 0u64;
-        // Serve each waveguide run. At most ONE channel group per lane
-        // may ride the stacked pass — groups sharing a lane occupy the
-        // same band, so only disjoint-band representatives form one
-        // physical excitation. Pick the deepest group per lane
-        // (densest stack, first wins ties); same-lane leftovers serve
-        // as their own batches, exactly like pre-FDM cross-gate
-        // coalescing.
-        let mut start = 0;
-        while let Some(&(waveguide, _)) = scratch.fdm.get(start) {
-            let mut end = start + 1;
-            while scratch.fdm.get(end).is_some_and(|e| e.0 == waveguide) {
-                end += 1;
-            }
-            scratch.lanes.clear();
-            for (offset, (_, group)) in scratch.fdm.iter().enumerate().take(end).skip(start) {
-                let Some(first) = group.first() else {
-                    continue;
-                };
-                let lane = self.meta_of(first.gate).lane.0;
-                if let Some(entry) = scratch.lanes.iter_mut().find(|(l, _, _)| *l == lane) {
-                    if entry.2 < group.len() {
-                        *entry = (lane, offset, group.len());
-                    }
-                } else {
-                    // analyze: allow(can-alloc) — amortized: scratch
-                    // election list keeps its capacity across drains.
-                    scratch.lanes.push((lane, offset, group.len()));
-                }
-            }
-            let stack = scratch.lanes.len() >= 2;
-            scratch.stacked.clear();
-            for offset in start..end {
-                let Some((_, group)) = scratch.fdm.get_mut(offset) else {
-                    continue;
-                };
-                let group = std::mem::take(group);
-                let elected = stack && scratch.lanes.iter().any(|&(_, index, _)| index == offset);
-                if elected {
-                    // analyze: allow(can-alloc) — amortized: scratch
-                    // stack keeps its capacity across drains.
-                    scratch.stacked.push(group);
-                } else {
-                    batches += 1;
-                    let spent = self.serve_group(group, &mut scratch.stage);
-                    // analyze: allow(can-alloc) — amortized: the pool
-                    // grows to the drain's high-water group count.
-                    scratch.pool.push(spent);
-                }
-            }
-            if stack {
-                batches += self.serve_fdm(
-                    &mut scratch.stacked,
-                    &mut scratch.pool,
-                    scratch.lanes.len() as u64,
-                    &mut scratch.stage,
-                );
-            }
-            start = end;
-        }
-        // The non-uniform leftovers (and everything when FDM is off).
         while let Some((_, group)) = scratch.groups.pop() {
             batches += 1;
             let spent = self.serve_group(group, &mut scratch.stage);
@@ -886,157 +775,6 @@ impl Worker {
             self.telemetry
                 .publish_lut(self.shard, hits, misses, dense_rows);
         }
-    }
-
-    /// Serves one whole-waveguide multi-lane pass: each group is one
-    /// channel group (a gate design's queued jobs) riding its own
-    /// frequency lane, and all of them evaluate through a single
-    /// stacked [`evaluate_fdm_batch`] call — the companion paper's
-    /// multi-frequency parallelism as a drain-path operation. Falls
-    /// back to per-request evaluation when the stacked pass fails as a
-    /// whole, so errors land only on the requests that earned them.
-    /// Returns the number of batches actually issued (1 for the
-    /// stacked pass; one per group when a missing session devolves the
-    /// stack into per-group serving).
-    fn serve_fdm(
-        &mut self,
-        stacked: &mut Vec<Vec<EvalJob>>,
-        pool: &mut Vec<Vec<EvalJob>>,
-        lanes: u64,
-        stage: &mut GroupStage,
-    ) -> u64 {
-        // Per-pass staging in this function is allocated fresh rather
-        // than pooled: an FDM stack carries at most one group per
-        // frequency lane of one waveguide, so every vector here is
-        // bounded by the waveguide's lane count, not by queue depth.
-        // Distinct group keys mean distinct lead gates, so each lead's
-        // session can be taken out of the table exactly once.
-        let leads: Vec<usize> = stacked
-            .iter()
-            .filter_map(|group| group.first().map(|job| job.gate))
-            .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        for &lead in &leads {
-            if self.session_for(lead).is_err() {
-                // A lane whose session cannot build fails its own
-                // group's requests through the per-group path; the
-                // other lanes still serve.
-                let devolved = stacked.len() as u64;
-                for group in stacked.drain(..) {
-                    let spent = self.serve_group(group, stage);
-                    pool.push(spent); // analyze: allow(can-alloc) — amortized pool growth
-                }
-                return devolved;
-            }
-        }
-        // Borrow every lead session at once by lifting them out of the
-        // slot table for the duration of the stacked call. The ensure
-        // loop above just built each one, so a missing slot here means
-        // the table is inconsistent — restore what was taken and serve
-        // per group rather than panic mid-drain.
-        let mut sessions: Vec<GateSession> = Vec::with_capacity(leads.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        for &lead in &leads {
-            match self.sessions.get_mut(lead).and_then(Option::take) {
-                Some(session) => sessions.push(session), // analyze: allow(can-alloc) — within the capacity above
-                None => {
-                    for (&taken, session) in leads.iter().zip(sessions) {
-                        if let Some(slot) = self.sessions.get_mut(taken) {
-                            *slot = Some(session);
-                        }
-                    }
-                    let devolved = stacked.len() as u64;
-                    for group in stacked.drain(..) {
-                        let spent = self.serve_group(group, stage);
-                        pool.push(spent); // analyze: allow(can-alloc) — amortized pool growth
-                    }
-                    return devolved;
-                }
-            }
-        }
-        let mut sets: Vec<Vec<OperandSet>> = Vec::with_capacity(stacked.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let mut replies = Vec::with_capacity(stacked.len()); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let mut total_requests = 0u64;
-        for mut group in stacked.drain(..) {
-            let mut group_sets = Vec::with_capacity(group.len()); // analyze: allow(can-alloc) — per-lane staging, sized to its group
-            let mut group_replies = Vec::with_capacity(group.len()); // analyze: allow(can-alloc) — per-lane staging, sized to its group
-            total_requests += group.len() as u64;
-            for job in group.drain(..) {
-                group_sets.push(job.set); // analyze: allow(can-alloc) — within the capacity above
-                group_replies.push((job.gate, job.tag, job.reply)); // analyze: allow(can-alloc) — within the capacity above
-            }
-            pool.push(group); // analyze: allow(can-alloc) — amortized pool growth
-            sets.push(group_sets); // analyze: allow(can-alloc) — within the capacity above
-            replies.push(group_replies); // analyze: allow(can-alloc) — within the capacity above
-        }
-        let mut lane_batches: Vec<LaneBatch<'_>> = sessions
-            .iter_mut()
-            .zip(&sets)
-            .map(|(session, lane_sets)| LaneBatch {
-                session,
-                sets: lane_sets,
-            })
-            .collect(); // analyze: allow(can-alloc) — per-pass, bounded by stacked lanes
-        let attempt = if self.keep_readouts {
-            evaluate_fdm_batch(&mut lane_batches)
-        } else {
-            evaluate_fdm_batch_logic(&mut lane_batches).map(|lanes| {
-                lanes
-                    .into_iter()
-                    .map(|words| words.into_iter().map(GateOutput::logic_only).collect()) // analyze: allow(can-alloc) — per-pass output repack
-                    .collect() // analyze: allow(can-alloc) — per-pass output repack
-            })
-        };
-        drop(lane_batches);
-        for (&lead, session) in leads.iter().zip(sessions) {
-            if let Some(slot) = self.sessions.get_mut(lead) {
-                *slot = Some(session);
-            }
-        }
-        match attempt {
-            Ok(outputs) => {
-                self.telemetry.record_fdm_pass(self.shard, lanes);
-                self.stats.record_fdm_pass(lanes, total_requests);
-                for (lane_replies, lane_outputs) in replies.into_iter().zip(outputs) {
-                    self.note_lanes_served(
-                        lane_replies.iter().map(|(gate, _, _)| *gate),
-                        &mut stage.tally,
-                    );
-                    for ((_, tag, reply), output) in lane_replies.into_iter().zip(lane_outputs) {
-                        // ordering: Relaxed — monotonic stat counter;
-                        // the reply channel orders the result delivery.
-                        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                        let _ = reply.send((tag, Ok(output)));
-                    }
-                }
-            }
-            Err(_) => {
-                // The stacked pass failed as a whole (e.g. one lane
-                // carried a malformed operand); retry each request on
-                // its own gate so only the offenders see the error.
-                for (lane_replies, lane_sets) in replies.into_iter().zip(&sets) {
-                    for ((gate, tag, reply), set) in lane_replies.into_iter().zip(lane_sets) {
-                        let result = match self.session_for(gate) {
-                            Ok(session) => session.evaluate(set.words()),
-                            Err(e) => Err(e),
-                        };
-                        // ordering: Relaxed — monotonic stat counters;
-                        // the reply channel orders the result delivery.
-                        match &result {
-                            Ok(_) => {
-                                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                                self.telemetry
-                                    .record_lane_served(self.meta_of(gate).lane_slot, 1);
-                            }
-                            Err(_) => {
-                                // ordering: Relaxed — stat counter.
-                                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        };
-                        let _ = reply.send((tag, result));
-                    }
-                }
-            }
-        }
-        1
     }
 
     /// Accounts successfully answered requests on their lanes' `served`
@@ -1504,9 +1242,6 @@ mod tests {
             meta: Arc::new(vec![GateMeta {
                 fingerprint: 0,
                 lane_slot: 0,
-                waveguide: WaveguideId(0),
-                lane: LaneId(0),
-                fdm_ok: true,
             }]),
             linger: Duration::from_micros(50),
             max_batch,

@@ -32,10 +32,9 @@
 //! Since the FDM extension (arXiv:2008.12220's multi-frequency
 //! parallelism), the placement/counter unit is one *frequency lane* —
 //! a `(`[`WaveguideId`]`, `[`LaneId`]`)` pair. Lanes of one waveguide
-//! start co-resident (so their drains coalesce into multi-lane FDM
-//! passes) but are independently movable by the rebalancer when load
-//! skews; per-lane request and served counters plus per-shard FDM pass
-//! counters surface in the snapshot.
+//! start co-resident (so their groups share each drain cycle) but are
+//! independently movable by the rebalancer when load skews; per-lane
+//! request and served counters surface in the snapshot.
 
 use magnon_core::gate::{LaneId, WaveguideId};
 use magnon_core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -104,13 +103,6 @@ struct ShardCounters {
     /// Drain cycles that filled to the batch cap (`full_drains /
     /// drain_cycles` ≈ how often a sweep finds a full backlog).
     full_drains: AtomicU64,
-    /// Multi-lane FDM passes served: drains where two or more frequency
-    /// lanes of one waveguide coalesced into a single stacked
-    /// `evaluate_batch`.
-    fdm_passes: AtomicU64,
-    /// Lanes coalesced across those FDM passes (`fdm_lanes /
-    /// fdm_passes` ≈ lanes per pass).
-    fdm_lanes: AtomicU64,
     /// LUT lookups answered from memory, summed over the shard's live
     /// cached sessions (a gauge the worker republishes after each
     /// drain).
@@ -153,7 +145,7 @@ pub(crate) struct Telemetry {
 impl Telemetry {
     /// `placements[slot]` gives each lane's waveguide id, lane id and
     /// initial shard. Lanes of one waveguide should start on the same
-    /// shard so their drains FDM-coalesce (the builder places by
+    /// shard so their groups share drain cycles (the builder places by
     /// waveguide id alone).
     pub fn new(workers: usize, placements: Vec<(WaveguideId, LaneId, usize)>) -> Self {
         Telemetry {
@@ -291,16 +283,6 @@ impl Telemetry {
         counters.lut_dense_rows.store(dense_rows, Ordering::Relaxed);
     }
 
-    /// Accounts one multi-lane FDM pass on `shard` that coalesced
-    /// `lanes` frequency lanes into a single stacked batch.
-    pub fn record_fdm_pass(&self, shard: usize, lanes: u64) {
-        // ordering: Relaxed — monotonic stat counters; dashboards only.
-        if let Some(counters) = self.shards.get(shard) {
-            counters.fdm_passes.fetch_add(1, Ordering::Relaxed);
-            counters.fdm_lanes.fetch_add(lanes, Ordering::Relaxed);
-        }
-    }
-
     /// Accounts `requests` successfully answered on lane `slot`
     /// (workers call this on success paths only, so the per-lane
     /// `served` counters sum to the scheduler's `completed` total).
@@ -318,7 +300,7 @@ impl Telemetry {
     /// shard to the idlest. A lane that *is* the whole hot load stays
     /// put — one lane cannot be split across shards without breaking
     /// same-shard coalescing. (Moving a lane off its waveguide's shard
-    /// trades FDM coalescing for load balance; the mover returns only
+    /// trades shared drain cycles for load balance; the mover returns only
     /// when traffic re-skews the other way.)
     fn review_placement(&self, policy: &AdaptiveConfig) {
         // ordering: AcqRel — the CAS-style guard both acquires the
@@ -417,8 +399,8 @@ impl Telemetry {
                     drained: s.drained.load(Ordering::Relaxed),
                     drain_cycles: s.drain_cycles.load(Ordering::Relaxed),
                     full_drains: s.full_drains.load(Ordering::Relaxed),
-                    fdm_passes: s.fdm_passes.load(Ordering::Relaxed),
-                    fdm_lanes: s.fdm_lanes.load(Ordering::Relaxed),
+                    fdm_passes: 0,
+                    fdm_lanes: 0,
                     // Filled in by `Scheduler::telemetry`, which holds
                     // the configuration.
                     linger: Duration::ZERO,
@@ -505,10 +487,13 @@ pub struct ShardTelemetry {
     pub drain_cycles: u64,
     /// Drain cycles that filled to `max_batch`.
     pub full_drains: u64,
-    /// Multi-lane FDM passes: drains where ≥ 2 frequency lanes of one
-    /// waveguide coalesced into a single stacked batch.
+    /// Always 0 since the stacked FDM pass was removed; kept for the
+    /// benchmark's reader (`perfbench`); remove with the next benchmark
+    /// change.
     pub fdm_passes: u64,
-    /// Lanes coalesced across those passes.
+    /// Always 0 since the stacked FDM pass was removed; kept for the
+    /// benchmark's reader (`perfbench`); remove with the next benchmark
+    /// change.
     pub fdm_lanes: u64,
     /// The configured [`ServeConfig::linger`](crate::ServeConfig::linger),
     /// the same on every shard: zero for the default work-conserving
@@ -693,9 +678,9 @@ mod tests {
     }
 
     #[test]
-    fn fdm_passes_and_lane_served_counters_surface_in_the_snapshot() {
-        // Two lanes of waveguide 0 co-resident on shard 0: a multi-lane
-        // pass serving 3 + 2 requests across both lanes.
+    fn lane_served_counters_surface_in_the_snapshot() {
+        // Two lanes of waveguide 0 co-resident on shard 0: one drain
+        // serving 3 + 2 requests across both lanes.
         let telemetry = Telemetry::new(
             1,
             vec![
@@ -703,12 +688,9 @@ mod tests {
                 (WaveguideId(0), LaneId(1), 0),
             ],
         );
-        telemetry.record_fdm_pass(0, 2);
         telemetry.record_lane_served(0, 3);
         telemetry.record_lane_served(1, 2);
         let snap = telemetry.snapshot();
-        assert_eq!(snap.shards[0].fdm_passes, 1);
-        assert_eq!(snap.shards[0].fdm_lanes, 2);
         assert_eq!(snap.lanes[0].lane, LaneId(0));
         assert_eq!(snap.lanes[1].lane, LaneId(1));
         assert_eq!(snap.lanes[0].served, 3);

@@ -6,9 +6,9 @@
 //! coexist on one waveguide, so gates patterned on disjoint bands
 //! compute simultaneously on the same medium. Here lane 0 carries the
 //! adder's MAJ/XOR pair (10–80 GHz) and lane 1 the ALU's (100–170
-//! GHz); two client threads drive both circuits concurrently and the
-//! scheduler stacks each whole-waveguide drain into a single
-//! multi-lane pass — serving density doubles with zero extra hardware:
+//! GHz); two client threads drive both circuits concurrently. Both
+//! lanes live on the waveguide's shard, so their requests share drain
+//! cycles — serving density doubles with zero extra hardware:
 //!
 //! ```text
 //! cargo run --release --example serve_fdm
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         linger: Duration::from_micros(150),
         queue_depth: 1024,
         lut_dir: None,
-        adaptive: AdaptiveConfig::off(), // FDM stacking is not a policy knob
+        adaptive: AdaptiveConfig::off(), // keep both lanes on their shard
     });
     let (adder_maj, adder_xor) = builder.register_circuit_gates_on_lane(
         guide,
@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         isolation.min_guard_band / 1e9,
         isolation.overlapping_pairs,
     );
-    // Fold the crosstalk penalty into a robustness run: the stacked
-    // lanes must not cost the majority vote its noise margin.
+    // Fold the crosstalk penalty into a robustness run: the
+    // co-propagating lanes must not cost the majority vote its noise margin.
     let noise = NoiseModel::new(0.1, 0.02)?.with_lane_leakage(isolation.amplitude_leakage())?;
     let robustness = monte_carlo_error_rate(scheduler.gate(adder_maj).unwrap(), noise, 25, 11)?;
     println!(
@@ -124,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A deterministic co-queued burst: submit everything before waiting,
     // so both lanes are pending together whatever the thread timing
-    // above did — this is what the stacked-pass assertion below pins.
+    // above did — this is what the shared-drain assertion below pins.
     use spinwave_parallel::core::backend::OperandSet;
     let burst: Vec<_> = (0..32u64)
         .map(|i| {
@@ -143,16 +143,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = scheduler.stats();
     println!(
-        "drains: {} passes, mean {:.1} req/drain; FDM: {} stacked passes x {:.1} lanes, {} of {} requests stacked",
+        "drains: {} passes, mean {:.1} req/drain, {} serving more than one gate; {} requests",
         stats.drain_passes,
         stats.mean_drain(),
-        stats.fdm_batches,
-        if stats.fdm_batches == 0 {
-            0.0
-        } else {
-            stats.fdm_lanes as f64 / stats.fdm_batches as f64
-        },
-        stats.fdm_requests,
+        stats.cross_gate_passes,
         stats.completed,
     );
     let telemetry = scheduler.telemetry();
@@ -163,9 +157,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lane.id, lane.lane, lane.shard, lane.served,
         );
     }
+    assert_eq!(
+        scheduler.shard_of(adder_maj),
+        scheduler.shard_of(alu_maj),
+        "both lanes of waveguide 0 must be co-resident"
+    );
     assert!(
-        stats.fdm_batches > 0,
-        "co-queued two-lane traffic must stack into multi-lane passes: {stats:?}"
+        stats.cross_gate_passes > 0,
+        "co-queued two-lane traffic must share drains: {stats:?}"
     );
     let lane_served: u64 = telemetry.lanes.iter().map(|l| l.served).sum();
     assert_eq!(lane_served, stats.completed);
